@@ -69,7 +69,6 @@ func runFederated(t *testing.T, seed uint64, kill bool) ([]byte, vine.Federation
 		Foremen:           2,
 		WorkersPerForeman: 2,
 		CoresPerWorker:    2,
-		ReportEvery:       15 * time.Millisecond,
 		RootOptions: []vine.Option{
 			vine.WithMaxRetries(10),
 			vine.WithRetryBackoff(5*time.Millisecond, 40*time.Millisecond),

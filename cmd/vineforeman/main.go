@@ -30,7 +30,6 @@ import (
 	"hepvine/internal/apps"
 	"hepvine/internal/daskvine"
 	"hepvine/internal/foreman"
-	"hepvine/internal/params"
 	"hepvine/internal/pool"
 	"hepvine/internal/vine"
 )
@@ -43,7 +42,6 @@ func main() {
 	hoist := flag.Bool("hoist", true, "hoist library imports when installing on shard workers")
 	cores := flag.Int("cores", 0, "aggregate cores advertised to the root, required")
 	memory := flag.Int64("memory", 0, "aggregate memory advertised to the root; 0 = unlimited")
-	reportEvery := flag.Duration("report-every", params.DefaultForemanReportEvery, "upward completion/inventory report cadence")
 	poolMax := flag.Int("pool-max", 0, "run a local autoscaled worker pool up to this many workers (0 = workers dial in externally)")
 	poolMin := flag.Int("pool-min", 0, "with -pool-max, the pool floor")
 	poolCores := flag.Int("pool-cores", 4, "with -pool-max, cores per pooled worker")
@@ -75,7 +73,6 @@ func main() {
 		RootFallbacks: fallbacks,
 		Cores:         *cores,
 		Memory:        *memory,
-		ReportEvery:   *reportEvery,
 		Local: []vine.Option{
 			vine.WithPeerTransfers(true),
 			vine.WithListenAddr(*listen),

@@ -177,8 +177,7 @@ func runForemanFlood(opts Options, foremen, totalWorkers, coresPer, tasks int) (
 		// Lease-ahead sized so the shards can absorb the entire flood: the
 		// root's ready set stays empty and the queue lives sharded.
 		leaseAhead := 1 + tasks/(totalWorkers*coresPer)
-		fed, err := newBenchFederation(opts, foremen, totalWorkers, coresPer,
-			2*time.Millisecond, leaseAhead)
+		fed, err := newBenchFederation(opts, foremen, totalWorkers, coresPer, leaseAhead)
 		if err != nil {
 			return fr, err
 		}
@@ -223,7 +222,7 @@ func runForemanFlood(opts Options, foremen, totalWorkers, coresPer, tasks int) (
 // into the sibling shards. Returns the root's cross-shard accounting.
 func runForemanFanout(opts Options, foremen, totalWorkers, coresPer int) (int, int64, error) {
 	const fanout = 48
-	fed, err := newBenchFederation(opts, foremen, totalWorkers, coresPer, 4*time.Millisecond, 1)
+	fed, err := newBenchFederation(opts, foremen, totalWorkers, coresPer, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -262,12 +261,11 @@ func runForemanFanout(opts Options, foremen, totalWorkers, coresPer int) (int, i
 	return st.CrossShard, st.CrossShardBytes, nil
 }
 
-func newBenchFederation(opts Options, foremen, totalWorkers, coresPer int, report time.Duration, leaseAhead int) (*foreman.LocalFederation, error) {
+func newBenchFederation(opts Options, foremen, totalWorkers, coresPer, leaseAhead int) (*foreman.LocalFederation, error) {
 	fed, err := foreman.NewLocalFederation(foreman.LocalConfig{
 		Foremen:           foremen,
 		WorkersPerForeman: totalWorkers / foremen,
 		CoresPerWorker:    coresPer,
-		ReportEvery:       report,
 		LeaseAhead:        leaseAhead,
 		RootOptions: []vine.Option{
 			vine.WithMaxRetries(5),

@@ -16,13 +16,11 @@ type LocalConfig struct {
 	Foremen           int
 	WorkersPerForeman int
 	CoresPerWorker    int
-	// ReportEvery overrides the upward report cadence (tests shrink it).
-	ReportEvery time.Duration
 	// LeaseAhead multiplies the advertised shard capacity, letting the
 	// root lease ahead of the real core count so each shard keeps a local
-	// queue and the report cadence never leaves it idle. 0/1 advertises
-	// the exact core count (strictest placement; cross-shard spillover
-	// happens as soon as real cores fill).
+	// queue and its cores never sit idle for a lease round trip to the
+	// root. 0/1 advertises the exact core count (strictest placement;
+	// cross-shard spillover happens as soon as real cores fill).
 	LeaseAhead int
 	// RootOptions extend the root manager (a federate scheduling policy is
 	// installed by default; later options win, so callers can override).
@@ -75,11 +73,10 @@ func NewLocalFederation(cfg LocalConfig) (*LocalFederation, error) {
 			local = cfg.LocalOptions(i)
 		}
 		fm, err := New(Options{
-			Name:        fmt.Sprintf("shard-%d", i),
-			RootAddr:    root.Addr(),
-			Cores:       shardCores,
-			ReportEvery: cfg.ReportEvery,
-			Local:       local,
+			Name:     fmt.Sprintf("shard-%d", i),
+			RootAddr: root.Addr(),
+			Cores:    shardCores,
+			Local:    local,
 		})
 		if err != nil {
 			fed.Stop()

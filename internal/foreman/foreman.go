@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"hepvine/internal/params"
 	"hepvine/internal/pool"
 	"hepvine/internal/vine"
 )
@@ -38,9 +37,6 @@ type Options struct {
 	// far ahead it leases.
 	Cores  int
 	Memory int64
-	// ReportEvery is the upward report cadence (default
-	// params.DefaultForemanReportEvery).
-	ReportEvery time.Duration
 	// Local passes options through to the shard's local manager
 	// (scheduler, journal, cache dir, libraries, ...).
 	Local []vine.Option
@@ -67,19 +63,18 @@ type Foreman struct {
 	leased  int
 	done    int
 	stopped bool
-	stopC   chan struct{}
-	wg      sync.WaitGroup
+	// flushT is the pending one-shot report microbatch timer (see
+	// finish), nil when none is armed.
+	flushT *time.Timer
+	stopC  chan struct{}
+	wg     sync.WaitGroup
 }
 
 // New starts a foreman: local manager first (so the uplink's initial
-// inventory and advertised capacity are real), then the root connection,
-// then the report loop.
+// inventory and advertised capacity are real), then the root connection.
 func New(opts Options) (*Foreman, error) {
 	if opts.Name == "" {
 		opts.Name = "foreman"
-	}
-	if opts.ReportEvery <= 0 {
-		opts.ReportEvery = params.DefaultForemanReportEvery
 	}
 	local, err := vine.NewManager(append([]vine.Option{vine.WithName(opts.Name)}, opts.Local...)...)
 	if err != nil {
@@ -118,8 +113,6 @@ func New(opts Options) (*Foreman, error) {
 		return nil, fmt.Errorf("foreman %s: uplink: %w", opts.Name, err)
 	}
 	f.link = link
-	f.wg.Add(1)
-	go f.reportLoop(opts.ReportEvery)
 	return f, nil
 }
 
@@ -214,8 +207,7 @@ func (f *Foreman) collect(lt vine.LeasedTask, h *vine.TaskHandle) {
 		res.OK = true
 		res.OutputSizes = make(map[string]int64, len(lt.Outputs))
 		res.OutputAddrs = make(map[string]string, len(lt.Outputs))
-		for name, cn := range lt.Outputs {
-			_ = name
+		for _, cn := range lt.Outputs {
 			if addr, size, ok := f.local.ReplicaInfo(cn); ok {
 				res.OutputSizes[string(cn)] = size
 				res.OutputAddrs[string(cn)] = addr
@@ -237,6 +229,10 @@ func (f *Foreman) collect(lt vine.LeasedTask, h *vine.TaskHandle) {
 	f.finish(res)
 }
 
+// finish folds one lease outcome into the next report. The first
+// completion arms a one-shot microbatch timer — the rule the root applies
+// to leases going down — so a flood coalesces into a few report frames
+// while a lone completion reaches the root within vine.MicrobatchDelay.
 func (f *Foreman) finish(res vine.LeaseResult) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -248,6 +244,25 @@ func (f *Foreman) finish(res vine.LeaseResult) {
 	if f.backlog > 0 {
 		f.backlog--
 	}
+	if f.flushT == nil {
+		f.wg.Add(1)
+		f.flushT = time.AfterFunc(vine.MicrobatchDelay, f.flushReport)
+	}
+}
+
+// flushReport is the microbatch timer body: ship every result gathered
+// so far with the current backlog in one report. It sends under f.mu, so
+// once shutdown has marked the shard stopped no report can race out.
+func (f *Foreman) flushReport() {
+	defer f.wg.Done()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushT = nil
+	if f.stopped {
+		return
+	}
+	f.link.Report(f.results, f.backlog)
+	f.results = nil
 }
 
 // onUnlink mirrors a cluster-wide unlink into the shard: the local
@@ -259,33 +274,6 @@ func (f *Foreman) onUnlink(cn vine.CacheName) {
 
 func (f *Foreman) onKill() {
 	go f.Stop()
-}
-
-// reportLoop ships accumulated completions and the current backlog at
-// the configured cadence. An empty report is still sent when the backlog
-// changed, keeping the root's shard pressure view fresh.
-func (f *Foreman) reportLoop(every time.Duration) {
-	defer f.wg.Done()
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	lastBacklog := -1
-	for {
-		select {
-		case <-f.stopC:
-			return
-		case <-tick.C:
-		}
-		f.mu.Lock()
-		batch := f.results
-		f.results = nil
-		backlog := f.backlog
-		f.mu.Unlock()
-		if len(batch) == 0 && backlog == lastBacklog {
-			continue
-		}
-		lastBacklog = backlog
-		f.link.Report(batch, backlog)
-	}
 }
 
 // Stop shuts the shard down in an orderly way: uplink first (so the root
@@ -311,6 +299,10 @@ func (f *Foreman) shutdown(crash bool) {
 	}
 	f.stopped = true
 	close(f.stopC)
+	if f.flushT != nil && f.flushT.Stop() {
+		f.flushT = nil
+		f.wg.Done()
+	}
 	f.mu.Unlock()
 	f.link.Close()
 	if f.scaler != nil && !crash {

@@ -20,7 +20,6 @@ func TestGateFrontsFederatedRoot(t *testing.T) {
 		Foremen:           2,
 		WorkersPerForeman: 1,
 		CoresPerWorker:    2,
-		ReportEvery:       15 * time.Millisecond,
 		LocalOptions: func(int) []vine.Option {
 			return []vine.Option{
 				vine.WithPeerTransfers(true),

@@ -314,11 +314,3 @@ var DefaultForemanFanout = 2
 // even at paper-scale task rates while cutting per-task frame overhead
 // by more than an order of magnitude.
 var DefaultLeaseBatch = 64
-
-// DefaultForemanReportEvery mirrors the foreman's aggregation window:
-// completions, replica addresses, and backlog accumulate locally and
-// ship upward at this cadence (or immediately once a full lease batch
-// has finished). Short enough that the root's view lags a shard by well
-// under a heartbeat; long enough that a 10k-task burst reports in
-// hundreds of frames, not 10k.
-var DefaultForemanReportEvery = 200 * time.Millisecond

@@ -168,10 +168,12 @@ func (m *Manager) leaseLocked(rec *taskRecord, w *workerState) {
 	w.leaseBuf = append(w.leaseBuf, e)
 }
 
-// leaseFlushDelay is the microbatch window: a partial lease buffer waits
-// this long for company before it is shipped, so a tight Submit loop —
-// each call its own scheduling pass — still coalesces into full frames.
-const leaseFlushDelay = time.Millisecond
+// MicrobatchDelay is the federation's one coalescing window, used in both
+// directions: a partial lease buffer at the root, and a foreman's
+// finished leases, wait this long for company before they are shipped.
+// A burst still coalesces into full frames — a tight Submit loop is one
+// scheduling pass per call — while a lone task crosses a tier in ~1 ms.
+const MicrobatchDelay = time.Millisecond
 
 // flushLeasesLocked ships every full lease frame immediately and arms a
 // one-shot microbatch timer for whatever remains, so a burst of ready
@@ -194,7 +196,7 @@ func (m *Manager) flushLeasesLocked() {
 	}
 	if pending && !m.leaseFlushArmed {
 		m.leaseFlushArmed = true
-		time.AfterFunc(leaseFlushDelay, m.flushLeaseRemainder)
+		time.AfterFunc(MicrobatchDelay, m.flushLeaseRemainder)
 	}
 }
 
