@@ -28,8 +28,8 @@ chaos-ha:             ## availability suite: hot-standby failover soak + split-b
 chaos-pool:           ## elasticity suite: autoscaled pool riding through a graceful drain + a blown grace window
 	go test -race -count=1 -v -run 'TestChaosElasticPreemptionSoak' .
 
-chaos-foreman:        ## federation suite: foreman killed mid-run, workers re-home to a sibling shard, bit-identical finish
-	go test -race -count=1 -v -run TestChaosForemanKillRehome .
+chaos-foreman:        ## federation suite: foreman killed mid-run (workers re-home to a sibling shard) and journaled root restarted under live foremen, bit-identical finish
+	go test -race -count=1 -v -run 'TestChaosForemanKillRehome|TestChaosForemanRootRestart' .
 
 gate:                 ## multi-tenant front door: race-enabled gate unit suite + two-tenant HTTP e2e smoke
 	go test -race -count=1 ./internal/gate/

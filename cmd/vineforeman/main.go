@@ -1,17 +1,22 @@
 // Command vineforeman is a standalone foreman: the middle tier of a
-// federated cluster. It registers with a root manager (started by
-// cmd/vinerun or cmd/vinegate) as one high-capacity shard, runs its own
-// local manager for workers to dial — vineworker -manager <this> — and
-// relays batched task leases downward and aggregated completion reports
-// upward, so the root's control traffic stays per-shard, not per-task.
+// federated cluster (vine.Foreman). It registers with a root manager
+// (started by cmd/vinerun or cmd/vinegate) as one high-capacity shard,
+// runs its own local manager for workers to dial — vineworker -manager
+// <this> — and relays batched task leases downward and aggregated
+// completion reports upward, so the root's control traffic stays
+// per-shard, not per-task.
 //
 //	vineforeman -root 127.0.0.1:9123 -listen 0.0.0.0:9200 -cores 48 [-name rack7]
 //
 // With -roots, the foreman knows the root cluster's full manager address
 // list (primary first, hot standbys after) and redials its uplink
-// through it on failover. With -pool-max, the foreman additionally runs
-// a local autoscaled worker pool in-process — the single-binary shard
-// for laptops and CI.
+// through it when the root connection drops — a failover or a journaled
+// root restarting at its address — re-registering with the shard's
+// replica inventory. Redial needs a budget: -roots implies the one
+// vineworker -managers applies (400 attempts, 250ms apart). Without
+// -roots the foreman exits with its root connection. With -pool-max,
+// the foreman additionally runs a local autoscaled worker pool
+// in-process — the single-binary shard for laptops and CI.
 //
 // SIGINT/SIGTERM stop the foreman gracefully: the uplink closes first so
 // the root re-homes outstanding leases, then the local manager stops.
@@ -29,14 +34,13 @@ import (
 
 	"hepvine/internal/apps"
 	"hepvine/internal/daskvine"
-	"hepvine/internal/foreman"
 	"hepvine/internal/pool"
 	"hepvine/internal/vine"
 )
 
 func main() {
 	root := flag.String("root", "", "root manager control address (host:port), required")
-	roots := flag.String("roots", "", "comma-separated standby root addresses to redial the uplink through on failover")
+	roots := flag.String("roots", "", "comma-separated standby root addresses to redial the uplink through on failover (implies reconnection)")
 	name := flag.String("name", "", "shard name the root sees (default: foreman)")
 	listen := flag.String("listen", "", "local manager listen address workers dial (default: ephemeral loopback)")
 	hoist := flag.Bool("hoist", true, "hoist library imports when installing on shard workers")
@@ -61,44 +65,50 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var fallbacks []string
-	for _, a := range strings.Split(*roots, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			fallbacks = append(fallbacks, a)
+	opts := []vine.Option{
+		vine.WithName(*name),
+		vine.WithCores(*cores),
+		vine.WithMemory(*memory),
+		vine.WithPeerTransfers(true),
+		vine.WithListenAddr(*listen),
+		// The shard's local manager installs leased-against libraries on
+		// its own workers — without this, function-call leases park
+		// forever waiting for a library no worker ever receives.
+		vine.WithLibrary(daskvine.LibraryName, *hoist),
+	}
+	if *roots != "" {
+		var fallbacks []string
+		for _, a := range strings.Split(*roots, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				fallbacks = append(fallbacks, a)
+			}
 		}
+		// A foreman that knows standby roots but dies on the first
+		// disconnect could never ride through a failover.
+		opts = append(opts, vine.WithManagers(fallbacks...), vine.WithReconnect(400, 250*time.Millisecond))
 	}
-	opts := foreman.Options{
-		Name:          *name,
-		RootAddr:      *root,
-		RootFallbacks: fallbacks,
-		Cores:         *cores,
-		Memory:        *memory,
-		Local: []vine.Option{
-			vine.WithPeerTransfers(true),
-			vine.WithListenAddr(*listen),
-			// The shard's local manager installs leased-against libraries
-			// on its own workers — without this, function-call leases park
-			// forever waiting for a library no worker ever receives.
-			vine.WithLibrary(daskvine.LibraryName, *hoist),
-		},
-	}
-	if *poolMax > 0 {
-		opts.Autoscale = &pool.Config{Min: *poolMin, Max: *poolMax}
-		opts.WorkerOptions = func(wname string) []vine.Option {
-			return []vine.Option{vine.WithName(wname), vine.WithCores(*poolCores)}
-		}
-	}
-	f, err := foreman.New(opts)
+	f, err := vine.NewForeman(*root, opts...)
 	if err != nil {
 		log.Fatalf("vineforeman: %v", err)
 	}
 	log.Printf("foreman %s: %d cores advertised to root %s, workers dial %s",
 		f.Name(), *cores, *root, f.LocalAddr())
+	var scaler *pool.Autoscaler
+	if *poolMax > 0 {
+		prov := pool.NewLocalProvider(f.LocalAddr(), func(string) []vine.Option {
+			return []vine.Option{vine.WithCores(*poolCores)}
+		})
+		scaler = pool.NewAutoscaler(f.Local(), prov, pool.Config{Min: *poolMin, Max: *poolMax})
+		scaler.Start()
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	s := <-sig
 	log.Printf("foreman %s: %v, shutting down", f.Name(), s)
+	if scaler != nil {
+		scaler.Stop()
+	}
 	f.Stop()
 	leased, done := f.Counts()
 	log.Printf("foreman %s: %d leases accepted, %d completions reported", f.Name(), leased, done)

@@ -38,7 +38,6 @@ import (
 	"hepvine/internal/coffea"
 	"hepvine/internal/dag"
 	"hepvine/internal/daskvine"
-	"hepvine/internal/foreman"
 	"hepvine/internal/ha"
 	"hepvine/internal/journal"
 	"hepvine/internal/obs"
@@ -171,13 +170,13 @@ func run(processor, data, generate, filesetPath string, chunkSize int64, fanIn, 
 	}
 	var mgr *vine.Manager
 	var jr *journal.Journal
-	var fed *foreman.LocalFederation
+	var fed *vine.LocalFederation
 	switch {
 	case foremen > 0:
 		// Federated run: a root manager leases task batches to foreman
 		// shards, each with its own scheduler and in-process worker pool;
 		// cross-shard inputs ride root-brokered peer-transfer tickets.
-		fed, err = foreman.NewLocalFederation(foreman.LocalConfig{
+		fed, err = vine.NewLocalFederation(vine.LocalConfig{
 			Foremen:           foremen,
 			WorkersPerForeman: workersPerForeman,
 			CoresPerWorker:    cores,

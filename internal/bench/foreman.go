@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"hepvine/internal/foreman"
 	"hepvine/internal/vine"
 )
 
@@ -261,8 +260,8 @@ func runForemanFanout(opts Options, foremen, totalWorkers, coresPer int) (int, i
 	return st.CrossShard, st.CrossShardBytes, nil
 }
 
-func newBenchFederation(opts Options, foremen, totalWorkers, coresPer, leaseAhead int) (*foreman.LocalFederation, error) {
-	fed, err := foreman.NewLocalFederation(foreman.LocalConfig{
+func newBenchFederation(opts Options, foremen, totalWorkers, coresPer, leaseAhead int) (*vine.LocalFederation, error) {
+	fed, err := vine.NewLocalFederation(vine.LocalConfig{
 		Foremen:           foremen,
 		WorkersPerForeman: totalWorkers / foremen,
 		CoresPerWorker:    coresPer,

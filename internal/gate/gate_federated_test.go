@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"hepvine/internal/foreman"
 	"hepvine/internal/vine"
 )
 
@@ -16,7 +15,7 @@ import (
 // replica addresses, with zero gate-side special-casing.
 func TestGateFrontsFederatedRoot(t *testing.T) {
 	registerGateLib(t)
-	fed, err := foreman.NewLocalFederation(foreman.LocalConfig{
+	fed, err := vine.NewLocalFederation(vine.LocalConfig{
 		Foremen:           2,
 		WorkersPerForeman: 1,
 		CoresPerWorker:    2,

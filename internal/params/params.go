@@ -298,7 +298,7 @@ var DefaultGateQueueWeight = 1.0
 // in-flight sessions to finish before abandoning the drain.
 var DefaultGateDrainTimeout = 30 * time.Second
 
-// ---- manager federation (internal/foreman — hierarchical foremen) ----
+// ---- manager federation (vine.Foreman — hierarchical foremen) ----
 
 // DefaultForemanFanout mirrors the default number of foremen a federated
 // run stands up when the caller asks for federation without sizing it.

@@ -22,11 +22,14 @@ package vine
 // rollback. A dead foreman is just a lost worker to the root: its leases
 // requeue, its shard replicas vanish from the table, and the journal's
 // lease records replay as re-runnable definitions after a root restart.
+//
+// This file holds the root side and the local manager's shard-side
+// helpers; the foreman itself (lease intake, reports, uplink) is
+// foreman.go. Both sides speak the wire structs in protocol.go directly.
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"hepvine/internal/journal"
@@ -168,12 +171,12 @@ func (m *Manager) leaseLocked(rec *taskRecord, w *workerState) {
 	w.leaseBuf = append(w.leaseBuf, e)
 }
 
-// MicrobatchDelay is the federation's one coalescing window, used in both
+// microbatchDelay is the federation's one coalescing window, used in both
 // directions: a partial lease buffer at the root, and a foreman's
 // finished leases, wait this long for company before they are shipped.
 // A burst still coalesces into full frames — a tight Submit loop is one
 // scheduling pass per call — while a lone task crosses a tier in ~1 ms.
-const MicrobatchDelay = time.Millisecond
+const microbatchDelay = time.Millisecond
 
 // flushLeasesLocked ships every full lease frame immediately and arms a
 // one-shot microbatch timer for whatever remains, so a burst of ready
@@ -196,7 +199,7 @@ func (m *Manager) flushLeasesLocked() {
 	}
 	if pending && !m.leaseFlushArmed {
 		m.leaseFlushArmed = true
-		time.AfterFunc(MicrobatchDelay, m.flushLeaseRemainder)
+		time.AfterFunc(microbatchDelay, m.flushLeaseRemainder)
 	}
 }
 
@@ -400,15 +403,15 @@ func (m *Manager) FederationStats() FederationStats {
 	return st
 }
 
-// ---- shard side (a foreman's local manager) ----
+// ---- shard side (a foreman's local manager; see foreman.go) ----
 
-// AddExternalReplica registers addr — an address outside this manager's
+// addExternalReplica registers addr — an address outside this manager's
 // own cluster, i.e. the payload of a peer-transfer ticket — as a source
 // for name. The file becomes stageable exactly like a declared one: the
 // transfer pump pulls it straight from the external address, rotating
 // across registered addresses on retries and quarantining any that serve
 // bytes failing their checksum.
-func (m *Manager) AddExternalReplica(name CacheName, size int64, addr string) {
+func (m *Manager) addExternalReplica(name CacheName, size int64, addr string) {
 	if addr == "" {
 		return
 	}
@@ -423,20 +426,8 @@ func (m *Manager) AddExternalReplica(name CacheName, size int64, addr string) {
 		fs.size = size
 	}
 	fs.wasExt = true
-	known := false
-	for _, a := range fs.ext {
-		if a == addr {
-			known = true
-			break
-		}
-	}
-	for _, a := range fs.extBad {
-		if a == addr {
-			known = true // quarantined addresses stay dead
-			break
-		}
-	}
-	if !known {
+	// Quarantined addresses stay dead.
+	if !slices.Contains(fs.ext, addr) && !slices.Contains(fs.extBad, addr) {
 		fs.ext = append(fs.ext, addr)
 	}
 	m.promoteWaitersLocked()
@@ -444,34 +435,11 @@ func (m *Manager) AddExternalReplica(name CacheName, size int64, addr string) {
 	m.notifyLocked()
 }
 
-// HasSource reports whether the manager currently knows a live source for
-// name: its own store, a live worker replica, or an external address.
-func (m *Manager) HasSource(name CacheName) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hasSourceLocked(name)
-}
-
-// ExternalQuarantined lists the external addresses of name quarantined
-// after serving corrupt bytes — what a foreman reports upward so the root
-// quarantines the same replica cluster-wide.
-func (m *Manager) ExternalQuarantined(name CacheName) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fs := m.files[name]
-	if fs == nil || len(fs.extBad) == 0 {
-		return nil
-	}
-	return append([]string(nil), fs.extBad...)
-}
-
-// ReplicaInfo reports an address inside this manager's own cluster
+// replicaInfoLocked reports an address inside this manager's own cluster
 // currently serving name (lowest-id live worker replica, else the
 // manager's own store) and the file's size. ok is false when the cluster
 // cannot serve the file itself — external sources don't count.
-func (m *Manager) ReplicaInfo(name CacheName) (addr string, size int64, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Manager) replicaInfoLocked(name CacheName) (addr string, size int64, ok bool) {
 	fs := m.files[name]
 	if fs == nil {
 		return "", 0, false
@@ -492,23 +460,19 @@ func (m *Manager) ReplicaInfo(name CacheName) (addr string, size int64, ok bool)
 	return "", fs.size, false
 }
 
-// ReplicaInventory snapshots every file this cluster can serve itself,
-// with a serving address — the inventory a reconnecting foreman re-offers
+// replicaInventory snapshots every file this cluster can serve itself,
+// with a serving address — the inventory a (re)registering foreman offers
 // the root so its shard's replicas are re-learned, not re-staged.
-func (m *Manager) ReplicaInventory() []ForemanInventory {
+func (m *Manager) replicaInventory() []inventoryEntry {
 	m.mu.Lock()
-	names := make([]CacheName, 0, len(m.files))
+	defer m.mu.Unlock()
+	var out []inventoryEntry
 	for cn := range m.files {
-		names = append(names, cn)
-	}
-	m.mu.Unlock()
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	var out []ForemanInventory
-	for _, cn := range names {
-		if addr, size, ok := m.ReplicaInfo(cn); ok {
-			out = append(out, ForemanInventory{CacheName: cn, Size: size, Addr: addr})
+		if addr, size, ok := m.replicaInfoLocked(cn); ok {
+			out = append(out, inventoryEntry{CacheName: string(cn), Size: size, Addr: addr})
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].CacheName < out[j].CacheName })
 	return out
 }
 
@@ -535,357 +499,4 @@ func (m *Manager) quarantineExternalLocked(name CacheName, addr string) {
 			return
 		}
 	}
-}
-
-// ---- the uplink (foreman → root control channel) ----
-
-// ForemanInventory names one shard replica in a foreman's registration:
-// the cachename, its size, and the shard-local address serving it.
-type ForemanInventory struct {
-	CacheName CacheName
-	Size      int64
-	Addr      string
-}
-
-// LeaseTicket is the foreman-side view of a peer-transfer ticket.
-type LeaseTicket struct {
-	CacheName CacheName
-	Addr      string
-	Size      int64
-}
-
-// LeasedTask is one task leased to this foreman: the reconstructed spec
-// (content addressing guarantees the shard derives the same output
-// cachenames the root assigned), the root's expected output cachenames
-// for verification, and the tickets for inputs the shard must pull.
-type LeasedTask struct {
-	TaskID  int
-	Task    Task
-	Outputs map[string]CacheName
-	Tickets []LeaseTicket
-}
-
-// LostReplica reports a ticketed source the shard found dead or corrupt.
-type LostReplica struct {
-	CacheName string
-	Addr      string
-	Corrupt   bool
-}
-
-// LeaseResult is one finished lease, reported upward in the next batch.
-type LeaseResult struct {
-	TaskID      int
-	OK          bool
-	Err         string
-	OutputSizes map[string]int64
-	OutputAddrs map[string]string
-	InputSizes  map[string]int64
-	InputAddrs  map[string]string
-	Lost        []LostReplica
-	ExecNanos   int64
-	SetupNanos  int64
-}
-
-// ForemanHello describes the shard to the root: aggregate capacity, not a
-// single node's.
-type ForemanHello struct {
-	Name   string
-	Cores  int
-	Memory int64
-}
-
-// ForemanCallbacks are the link's upcalls. OnLease delivers each decoded
-// lease batch; OnUnlink mirrors cluster-wide unlinks into the shard;
-// OnKill fires when the root shuts the link down deliberately. Inventory,
-// when set, is called before every (re)registration to snapshot the
-// shard's current replicas.
-type ForemanCallbacks struct {
-	OnLease   func([]LeasedTask)
-	OnUnlink  func(CacheName)
-	OnKill    func()
-	Inventory func() []ForemanInventory
-}
-
-// ForemanLink is a foreman's control channel to the root manager. It
-// registers with Foreman=true, decodes lease batches into upcalls, ships
-// aggregated reports, and redials through the root address list (primary
-// plus WithManagers fallbacks) on connection loss — re-offering the
-// shard's replica inventory so a root failover re-learns the shard.
-type ForemanLink struct {
-	name  string
-	cores int
-	mem   int64
-	nc    netConfig
-	rec   *obs.Recorder
-	cb    ForemanCallbacks
-	label string
-
-	mu                sync.Mutex
-	conn              *conn
-	addrs             []string
-	addrIdx           int
-	stopped           bool
-	redialC           chan struct{}
-	reconnectAttempts int
-	reconnectBackoff  time.Duration
-	doneC             chan struct{}
-}
-
-// DialForeman connects a foreman's uplink to the root at addr and
-// registers the shard. Options follow the worker's vocabulary:
-// WithManagers adds fallback root addresses, WithReconnect sets the
-// redial budget, WithRecorder attaches tracing.
-func DialForeman(addr string, h ForemanHello, cb ForemanCallbacks, options ...Option) (*ForemanLink, error) {
-	c := buildConfig(options)
-	backoff := c.wrk.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = defaultReconnectBackoff
-	}
-	addrs := []string{addr}
-	for _, a := range c.wrk.Managers {
-		dup := a == ""
-		for _, have := range addrs {
-			if have == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			addrs = append(addrs, a)
-		}
-	}
-	if h.Name == "" {
-		h.Name = "foreman"
-	}
-	l := &ForemanLink{
-		name:              h.Name,
-		cores:             h.Cores,
-		mem:               h.Memory,
-		nc:                c.netConfig(),
-		rec:               c.rec,
-		cb:                cb,
-		label:             h.Name,
-		addrs:             addrs,
-		reconnectAttempts: c.wrk.ReconnectAttempts,
-		reconnectBackoff:  backoff,
-		doneC:             make(chan struct{}),
-	}
-	var cc *conn
-	var dialErr error
-	for i, a := range addrs {
-		raw, err := l.nc.dial(a, l.label+"/uplink")
-		if err == nil {
-			cc = newConn(raw)
-			l.addrIdx = i
-			break
-		}
-		dialErr = err
-	}
-	if cc == nil {
-		return nil, fmt.Errorf("vine: foreman connecting to root: %w", dialErr)
-	}
-	l.conn = cc
-	cc.send(l.helloMsg())
-	go l.readLoop(cc)
-	return l, nil
-}
-
-// helloMsg builds the registration frame, refreshing the inventory.
-func (l *ForemanLink) helloMsg() *message {
-	var inv []inventoryEntry
-	if l.cb.Inventory != nil {
-		for _, e := range l.cb.Inventory() {
-			inv = append(inv, inventoryEntry{CacheName: string(e.CacheName), Size: e.Size, Addr: e.Addr})
-		}
-	}
-	return &message{Type: msgHello, Hello: &helloMsg{
-		Name:      l.name,
-		Cores:     l.cores,
-		Memory:    l.mem,
-		Foreman:   true,
-		Inventory: inv,
-	}}
-}
-
-// Report ships finished leases and the current backlog to the root.
-// Sends on a dead connection are dropped; the redialed registration
-// re-offers their output replicas through the inventory instead.
-func (l *ForemanLink) Report(done []LeaseResult, backlog int) {
-	rep := &foremanReportMsg{Backlog: backlog}
-	for _, r := range done {
-		d := leaseDoneWire{
-			TaskID: r.TaskID, OK: r.OK, Error: r.Err,
-			OutputSizes: r.OutputSizes, OutputAddrs: r.OutputAddrs,
-			InputSizes: r.InputSizes, InputAddrs: r.InputAddrs,
-			ExecNanos: r.ExecNanos, SetupNanos: r.SetupNanos,
-		}
-		for _, lr := range r.Lost {
-			d.Lost = append(d.Lost, lostReplicaWire(lr))
-		}
-		rep.Done = append(rep.Done, d)
-	}
-	l.mu.Lock()
-	cc := l.conn
-	stopped := l.stopped
-	l.mu.Unlock()
-	if !stopped && cc != nil {
-		cc.send(&message{Type: msgReport, Report: rep})
-	}
-}
-
-// Close tears the uplink down without notifying the root: from the root's
-// side this is a foreman death, which is the point — Crash paths reuse it.
-func (l *ForemanLink) Close() {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		return
-	}
-	l.stopped = true
-	cc := l.conn
-	close(l.doneC)
-	l.mu.Unlock()
-	if cc != nil {
-		cc.close()
-	}
-}
-
-func (l *ForemanLink) readLoop(cc *conn) {
-	for {
-		msg, err := cc.recv()
-		if err != nil {
-			if l.reconnect(cc) {
-				l.mu.Lock()
-				cc = l.conn
-				l.mu.Unlock()
-				continue
-			}
-			return
-		}
-		switch msg.Type {
-		case msgLease:
-			if msg.Lease != nil && l.cb.OnLease != nil {
-				l.cb.OnLease(decodeLeases(msg.Lease.Leases))
-			}
-		case msgUnlink:
-			if msg.Unlink != nil && l.cb.OnUnlink != nil {
-				l.cb.OnUnlink(CacheName(msg.Unlink.CacheName))
-			}
-		case msgPing:
-			cc.send(&message{Type: msgPong})
-		case msgKill:
-			if l.cb.OnKill != nil {
-				l.cb.OnKill()
-			}
-			l.Close()
-			return
-		}
-	}
-}
-
-// reconnect redials the root address list after old died, single-flight,
-// mirroring the worker's redial discipline: cycle from the last address
-// known good, back off between attempts, re-register with a fresh
-// inventory on success.
-func (l *ForemanLink) reconnect(old *conn) bool {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		return false
-	}
-	if l.conn != old {
-		l.mu.Unlock()
-		return true
-	}
-	if l.reconnectAttempts <= 0 {
-		l.mu.Unlock()
-		return false
-	}
-	if c := l.redialC; c != nil {
-		l.mu.Unlock()
-		<-c
-		l.mu.Lock()
-		ok := !l.stopped && l.conn != old
-		l.mu.Unlock()
-		return ok
-	}
-	done := make(chan struct{})
-	l.redialC = done
-	attempts, backoff := l.reconnectAttempts, l.reconnectBackoff
-	addrs, start := l.addrs, l.addrIdx
-	l.mu.Unlock()
-
-	old.close()
-	var nc *conn
-	dialed := -1
-	for i := 1; i <= attempts && nc == nil; i++ {
-		select {
-		case <-l.doneC:
-		case <-time.After(backoff):
-		}
-		select {
-		case <-l.doneC:
-			// Closed while waiting; give up without dialing.
-		default:
-			addr := addrs[(start+i-1)%len(addrs)]
-			raw, err := l.nc.dial(addr, l.label+"/uplink")
-			if err == nil {
-				nc = newConn(raw)
-				dialed = (start + i - 1) % len(addrs)
-			} else {
-				l.rec.Emit(obs.Event{Type: obs.EvNetRetry, Worker: l.name, Attempt: i,
-					Dur: backoff, Detail: "root redial " + addr + ": " + err.Error()})
-			}
-		}
-	}
-
-	l.mu.Lock()
-	defer func() {
-		l.redialC = nil
-		close(done)
-		l.mu.Unlock()
-	}()
-	if l.stopped || nc == nil {
-		if nc != nil {
-			nc.close()
-		}
-		return false
-	}
-	l.conn = nc
-	l.addrIdx = dialed
-	l.rec.Emit(obs.Event{Type: obs.EvWorkerJoin, Worker: l.name, Detail: "foreman uplink reconnected"})
-	nc.send(l.helloMsg())
-	return true
-}
-
-// decodeLeases reconstructs task specs from the wire. The rebuilt spec
-// hashes to the same definition as the root's, so the shard's local
-// manager derives identical content-addressed output cachenames — the
-// invariant that makes cross-shard lineage recovery bit-identical.
-func decodeLeases(wire []leaseEntryWire) []LeasedTask {
-	out := make([]LeasedTask, 0, len(wire))
-	for _, e := range wire {
-		t := Task{
-			Mode:    TaskMode(e.Mode),
-			Library: e.Library,
-			Func:    e.Func,
-			Args:    e.Args,
-			Cores:   e.Cores,
-			Memory:  e.Memory,
-		}
-		for _, in := range e.Inputs {
-			t.Inputs = append(t.Inputs, FileRef{Name: in.Name, CacheName: CacheName(in.CacheName)})
-		}
-		lt := LeasedTask{TaskID: e.TaskID, Task: t, Outputs: make(map[string]CacheName, len(e.Outputs))}
-		for _, o := range e.Outputs {
-			t.Outputs = append(t.Outputs, o.Name)
-			lt.Outputs[o.Name] = CacheName(o.CacheName)
-		}
-		lt.Task = t
-		for _, tk := range e.Tickets {
-			lt.Tickets = append(lt.Tickets, LeaseTicket{CacheName: CacheName(tk.CacheName), Addr: tk.Addr, Size: tk.Size})
-		}
-		out = append(out, lt)
-	}
-	return out
 }

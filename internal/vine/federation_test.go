@@ -73,17 +73,13 @@ func TestDecodeLeaseCacheNameInvariant(t *testing.T) {
 		Inputs:  []fileRefWire{{Name: "in", CacheName: string(inputs[0].CacheName)}},
 		Outputs: []fileRefWire{{Name: "out", CacheName: string(outputName(h, "out"))}},
 	}
-	lts := decodeLeases([]leaseEntryWire{wire})
-	if len(lts) != 1 {
-		t.Fatalf("decoded %d leases", len(lts))
-	}
-	lt := lts[0]
-	got := taskDefHash(string(lt.Task.Mode), lt.Task.Library, lt.Task.Func, lt.Task.Args, lt.Task.Inputs)
+	task := wire.task()
+	got := taskDefHash(string(task.Mode), task.Library, task.Func, task.Args, task.Inputs)
 	if got != h {
 		t.Fatalf("decoded spec hashes to %s, root computed %s", got, h)
 	}
-	if outputName(got, "out") != lt.Outputs["out"] {
-		t.Fatalf("output cachename mismatch: %s vs %s", outputName(got, "out"), lt.Outputs["out"])
+	if want := CacheName(wire.Outputs[0].CacheName); outputName(got, "out") != want {
+		t.Fatalf("output cachename mismatch: %s vs %s", outputName(got, "out"), want)
 	}
 }
 
@@ -96,13 +92,18 @@ func TestExternalReplicaLifecycle(t *testing.T) {
 	}
 	defer m.Stop()
 	cn := blobName([]byte("ticketed"))
-	if m.HasSource(cn) {
+	hasSource := func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.hasSourceLocked(cn)
+	}
+	if hasSource() {
 		t.Fatal("unknown file has a source")
 	}
-	m.AddExternalReplica(cn, 99, "127.0.0.1:7001")
-	m.AddExternalReplica(cn, 99, "127.0.0.1:7002")
-	m.AddExternalReplica(cn, 99, "127.0.0.1:7001") // duplicate: ignored
-	if !m.HasSource(cn) {
+	m.addExternalReplica(cn, 99, "127.0.0.1:7001")
+	m.addExternalReplica(cn, 99, "127.0.0.1:7002")
+	m.addExternalReplica(cn, 99, "127.0.0.1:7001") // duplicate: ignored
+	if !hasSource() {
 		t.Fatal("external replica does not count as a source")
 	}
 	m.mu.Lock()
@@ -119,15 +120,17 @@ func TestExternalReplicaLifecycle(t *testing.T) {
 	m.quarantineExternalLocked(cn, "127.0.0.1:7001")
 	m.mu.Unlock()
 
-	bad := m.ExternalQuarantined(cn)
+	m.mu.Lock()
+	bad := append([]string(nil), m.files[cn].extBad...)
+	m.mu.Unlock()
 	if len(bad) != 1 || bad[0] != "127.0.0.1:7001" {
 		t.Fatalf("quarantine list: %v", bad)
 	}
-	if !m.HasSource(cn) {
+	if !hasSource() {
 		t.Fatal("surviving external address should still be a source")
 	}
 	// A quarantined address must not resurrect through re-registration.
-	m.AddExternalReplica(cn, 99, "127.0.0.1:7001")
+	m.addExternalReplica(cn, 99, "127.0.0.1:7001")
 	m.mu.Lock()
 	n := len(m.files[cn].ext)
 	m.mu.Unlock()
@@ -137,8 +140,8 @@ func TestExternalReplicaLifecycle(t *testing.T) {
 	m.mu.Lock()
 	m.quarantineExternalLocked(cn, "127.0.0.1:7002")
 	m.mu.Unlock()
-	if m.HasSource(cn) {
-		t.Fatal("all sources quarantined but HasSource still true")
+	if hasSource() {
+		t.Fatal("all sources quarantined but hasSource still true")
 	}
 }
 
@@ -152,10 +155,10 @@ func TestReplicaInventoryServesManagerStore(t *testing.T) {
 	}
 	defer m.Stop()
 	cn := m.DeclareBuffer([]byte("0123456789"))
-	inv := m.ReplicaInventory()
+	inv := m.replicaInventory()
 	found := false
 	for _, e := range inv {
-		if e.CacheName == cn {
+		if e.CacheName == string(cn) {
 			found = true
 			if e.Addr == "" || e.Size != 10 {
 				t.Fatalf("inventory entry: %+v", e)
@@ -165,8 +168,10 @@ func TestReplicaInventoryServesManagerStore(t *testing.T) {
 	if !found {
 		t.Fatalf("declared file missing from inventory: %v", inv)
 	}
-	addr, size, ok := m.ReplicaInfo(cn)
+	m.mu.Lock()
+	addr, size, ok := m.replicaInfoLocked(cn)
+	m.mu.Unlock()
 	if !ok || addr == "" || size != 10 {
-		t.Fatalf("ReplicaInfo = %s,%d,%v", addr, size, ok)
+		t.Fatalf("replicaInfoLocked = %s,%d,%v", addr, size, ok)
 	}
 }

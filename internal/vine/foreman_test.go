@@ -1,24 +1,22 @@
-package foreman
+package vine
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
 	"time"
-
-	"hepvine/internal/vine"
 )
 
 func registerFedLib(t *testing.T) {
 	t.Helper()
-	vine.MustRegisterLibrary(&vine.Library{
+	MustRegisterLibrary(&Library{
 		Name: "fedlib",
-		Funcs: map[string]vine.Function{
-			"echo": func(c *vine.Call) error {
+		Funcs: map[string]Function{
+			"echo": func(c *Call) error {
 				c.SetOutput("out", append([]byte("echo:"), c.Args...))
 				return nil
 			},
-			"slowup": func(c *vine.Call) error {
+			"slowup": func(c *Call) error {
 				in, err := c.Input("in")
 				if err != nil {
 					return err
@@ -27,8 +25,8 @@ func registerFedLib(t *testing.T) {
 				c.SetOutput("out", append(bytes.ToUpper(in), c.Args...))
 				return nil
 			},
-			"noop": func(*vine.Call) error { return nil },
-			"next": func(c *vine.Call) error {
+			"noop": func(*Call) error { return nil },
+			"next": func(c *Call) error {
 				in, err := c.Input("in")
 				if err != nil {
 					return err
@@ -49,20 +47,20 @@ func newFed(t *testing.T, foremen, workersPer int) *LocalFederation {
 func newFedCfg(t *testing.T, cfg LocalConfig) *LocalFederation {
 	t.Helper()
 	registerFedLib(t)
-	cfg.RootOptions = []vine.Option{
-		vine.WithMaxRetries(10),
-		vine.WithRetryBackoff(5*time.Millisecond, 40*time.Millisecond),
+	cfg.RootOptions = []Option{
+		WithMaxRetries(10),
+		WithRetryBackoff(5*time.Millisecond, 40*time.Millisecond),
 	}
-	cfg.LocalOptions = func(int) []vine.Option {
-		return []vine.Option{
-			vine.WithPeerTransfers(true),
-			vine.WithLibrary("fedlib", true),
-			vine.WithMaxRetries(10),
-			vine.WithRetryBackoff(5*time.Millisecond, 40*time.Millisecond),
+	cfg.LocalOptions = func(int) []Option {
+		return []Option{
+			WithPeerTransfers(true),
+			WithLibrary("fedlib", true),
+			WithMaxRetries(10),
+			WithRetryBackoff(5*time.Millisecond, 40*time.Millisecond),
 		}
 	}
-	cfg.WorkerOptions = func(int, int) []vine.Option {
-		return []vine.Option{vine.WithCacheDir(t.TempDir())}
+	cfg.WorkerOptions = func(int, int) []Option {
+		return []Option{WithCacheDir(t.TempDir())}
 	}
 	fed, err := NewLocalFederation(cfg)
 	if err != nil {
@@ -85,7 +83,7 @@ func newFedCfg(t *testing.T, cfg LocalConfig) *LocalFederation {
 // the output fetched back through the shard's transfer address.
 func TestFederationEcho(t *testing.T) {
 	fed := newFed(t, 2, 1)
-	h, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "echo", []byte("hi"), "out")
+	h, err := fed.Root.SubmitFunc(ModeTask, "fedlib", "echo", []byte("hi"), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestFederationEcho(t *testing.T) {
 // cross-shard transfer accounting at the root.
 func TestFederationCrossShardTickets(t *testing.T) {
 	fed := newFed(t, 2, 1)
-	seed, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "echo", []byte("seed"), "out")
+	seed, err := fed.Root.SubmitFunc(ModeTask, "fedlib", "echo", []byte("seed"), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +131,12 @@ func TestFederationCrossShardTickets(t *testing.T) {
 
 	// Six 1-core consumers of the seed against 2+2 shard cores: the first
 	// scheduling pass must spill onto the shard that lacks the seed.
-	var hs []*vine.TaskHandle
+	var hs []*TaskHandle
 	for i := 0; i < 6; i++ {
-		h, err := fed.Root.Submit(vine.Task{
-			Mode: vine.ModeTask, Library: "fedlib", Func: "slowup",
+		h, err := fed.Root.Submit(Task{
+			Mode: ModeTask, Library: "fedlib", Func: "slowup",
 			Args:    []byte(fmt.Sprintf("-%d", i)),
-			Inputs:  []vine.FileRef{{Name: "in", CacheName: seedCN}},
+			Inputs:  []FileRef{{Name: "in", CacheName: seedCN}},
 			Outputs: []string{"out"},
 			Cores:   1,
 		})
@@ -179,7 +177,7 @@ func TestFederationCrossShardTickets(t *testing.T) {
 // must re-home there, and every task must still finish correctly.
 func TestFederationForemanCrashRehome(t *testing.T) {
 	fed := newFed(t, 2, 1)
-	seed, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "echo", []byte("x"), "out")
+	seed, err := fed.Root.SubmitFunc(ModeTask, "fedlib", "echo", []byte("x"), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +186,12 @@ func TestFederationForemanCrashRehome(t *testing.T) {
 	}
 	seedCN, _ := seed.Output("out")
 
-	var hs []*vine.TaskHandle
+	var hs []*TaskHandle
 	for i := 0; i < 10; i++ {
-		h, err := fed.Root.Submit(vine.Task{
-			Mode: vine.ModeTask, Library: "fedlib", Func: "slowup",
+		h, err := fed.Root.Submit(Task{
+			Mode: ModeTask, Library: "fedlib", Func: "slowup",
 			Args:    []byte(fmt.Sprintf("!%d", i)),
-			Inputs:  []vine.FileRef{{Name: "in", CacheName: seedCN}},
+			Inputs:  []FileRef{{Name: "in", CacheName: seedCN}},
 			Outputs: []string{"out"},
 			Cores:   1,
 		})
@@ -255,16 +253,16 @@ func TestFederationDependentChainLatency(t *testing.T) {
 	const steps = 16
 	fed := newFedCfg(t, LocalConfig{Foremen: 2, WorkersPerForeman: 1, CoresPerWorker: 1})
 	start := time.Now()
-	h, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "echo", []byte("0"), "out")
+	h, err := fed.Root.SubmitFunc(ModeTask, "fedlib", "echo", []byte("0"), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < steps; i++ {
 		prev, _ := h.Output("out")
-		h, err = fed.Root.Submit(vine.Task{
-			Mode: vine.ModeTask, Library: "fedlib", Func: "next",
+		h, err = fed.Root.Submit(Task{
+			Mode: ModeTask, Library: "fedlib", Func: "next",
 			Args:    []byte(fmt.Sprintf(",%d", i)),
-			Inputs:  []vine.FileRef{{Name: "in", CacheName: prev}},
+			Inputs:  []FileRef{{Name: "in", CacheName: prev}},
 			Outputs: []string{"out"},
 			Cores:   1,
 		})
@@ -299,9 +297,9 @@ func TestFederationDependentChainLatency(t *testing.T) {
 func TestFederationReportsCoalesce(t *testing.T) {
 	const tasks = 256
 	fed := newFedCfg(t, LocalConfig{Foremen: 2, WorkersPerForeman: 1, CoresPerWorker: 2, LeaseAhead: tasks / 4})
-	var hs []*vine.TaskHandle
+	var hs []*TaskHandle
 	for i := 0; i < tasks; i++ {
-		h, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "noop", []byte(fmt.Sprintf("b%d", i)))
+		h, err := fed.Root.SubmitFunc(ModeTask, "fedlib", "noop", []byte(fmt.Sprintf("b%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,9 +326,9 @@ func TestForemanStopWithPendingReport(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		t.Run(fmt.Sprintf("crash=%v", crash), func(t *testing.T) {
 			fed := newFed(t, 2, 1)
-			var hs []*vine.TaskHandle
+			var hs []*TaskHandle
 			for i := 0; i < 64; i++ {
-				h, err := fed.Root.SubmitFunc(vine.ModeTask, "fedlib", "echo", []byte(fmt.Sprintf("p%d", i)), "out")
+				h, err := fed.Root.SubmitFunc(ModeTask, "fedlib", "echo", []byte(fmt.Sprintf("p%d", i)), "out")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +346,7 @@ func TestForemanStopWithPendingReport(t *testing.T) {
 				time.Sleep(100 * time.Microsecond)
 			}
 			// A completion that lands now arms a flush the shutdown outruns.
-			doomed.finish(vine.LeaseResult{TaskID: -1, Err: "late"})
+			doomed.finish(leaseDoneWire{TaskID: -1, Error: "late"})
 			if crash {
 				doomed.Crash()
 			} else {
@@ -361,7 +359,7 @@ func TestForemanStopWithPendingReport(t *testing.T) {
 				t.Fatal("report flush still armed after shutdown returned")
 			}
 
-			doomed.finish(vine.LeaseResult{TaskID: -2, Err: "after stop"})
+			doomed.finish(leaseDoneWire{TaskID: -2, Error: "after stop"})
 			doomed.mu.Lock()
 			if len(doomed.results) != pending || doomed.done != done || doomed.flushT != nil {
 				t.Errorf("stopped foreman kept collecting: results %d -> %d, done %d -> %d, armed %v",
@@ -369,7 +367,7 @@ func TestForemanStopWithPendingReport(t *testing.T) {
 			}
 			// A timer that had already fired when shutdown tried to disarm
 			// it runs its body against the stopped foreman.
-			doomed.results = append(doomed.results, vine.LeaseResult{TaskID: -3})
+			doomed.results = append(doomed.results, leaseDoneWire{TaskID: -3})
 			pending = len(doomed.results)
 			doomed.wg.Add(1)
 			doomed.mu.Unlock()

@@ -258,15 +258,17 @@ func (h *TaskHandle) FailureRecords() []TaskFailure {
 	return append([]TaskFailure(nil), h.failures...)
 }
 
-// ManagerOptions configure a manager.
-type ManagerOptions struct {
+// transferCapPerSource bounds concurrent outbound transfers from one
+// worker (§IV.B: "the manager manages the number of concurrent peer
+// transfers"). The manager itself is uncapped. Mirrored as
+// params.DefaultTransferCapPerSource.
+const transferCapPerSource = 3
+
+// managerOptions is the manager half of the option vocabulary.
+type managerOptions struct {
 	// PeerTransfers enables worker-to-worker staging; disabled, every
 	// input is served from the manager (the Work Queue data path).
 	PeerTransfers bool
-	// TransferCapPerSource bounds concurrent outbound transfers from one
-	// worker (§IV.B: "the manager manages the number of concurrent peer
-	// transfers"). Default 3. The manager itself is uncapped.
-	TransferCapPerSource int
 	// MaxRetries bounds per-task re-dispatches after worker failures or
 	// transfer errors. Default 5.
 	MaxRetries int
@@ -296,12 +298,6 @@ type LibrarySpec struct {
 // Deprecated: this is a thin alias for obs.Snapshot; new code should use
 // obs.Snapshot directly.
 type ManagerStats = obs.Snapshot
-
-// WorkerStats is the worker's view of the shared stats vocabulary.
-//
-// Deprecated: this is a thin alias for obs.Snapshot; new code should use
-// obs.Snapshot directly.
-type WorkerStats = obs.Snapshot
 
 // managerMetrics holds the manager's registry-backed instruments,
 // prefetched so hot paths pay one atomic op per update.
@@ -501,7 +497,7 @@ const defaultLeaseBatch = 64
 // where their data lives, orchestrates peer transfers, and re-runs work
 // lost to preempted workers.
 type Manager struct {
-	opts      ManagerOptions
+	opts      managerOptions
 	failLimit int // max retained failure causes per task
 
 	rec *obs.Recorder
@@ -594,9 +590,6 @@ const defaultFailureHistory = 8
 func NewManager(options ...Option) (*Manager, error) {
 	c := buildConfig(options)
 	opts := c.mgr
-	if opts.TransferCapPerSource <= 0 {
-		opts.TransferCapPerSource = 3
-	}
 	if opts.MaxRetries <= 0 {
 		opts.MaxRetries = 5
 	}
@@ -927,7 +920,7 @@ func (m *Manager) Submit(t Task) (*TaskHandle, error) {
 	if m.stopped {
 		return nil, fmt.Errorf("vine: manager stopped")
 	}
-	if h := m.warmFromReplayLocked(defHash, t.Outputs); h != nil {
+	if h := m.warmHitLocked(m.replayed[defHash], defHash, t.Outputs); h != nil {
 		return h, nil
 	}
 	if m.draining {
@@ -936,16 +929,16 @@ func (m *Manager) Submit(t Task) (*TaskHandle, error) {
 	return m.submitFreshLocked(t, defHash)
 }
 
-// warmFromReplayLocked is the journal warm path: a journal-resumed manager
-// already holds this definition completed. If the requested outputs are
-// exactly the replayed ones and none has been unlinked, hand back the done
-// handle — the task never re-executes. It's a warm *hit* only when every
-// output still has a live source; otherwise the bytes regenerate through
-// lineage on first consumer access, which still beats re-running the whole
-// graph. Returns nil when the definition has no replayed completion.
-func (m *Manager) warmFromReplayLocked(defHash string, outputs []string) *TaskHandle {
-	old, ok := m.replayed[defHash]
-	if !ok || old.state != TaskDone || !m.outputsMatchLocked(old, outputs) {
+// warmHitLocked serves a dedupe hit on old, an earlier record of the
+// same definition (live, or replayed from the journal): if it completed
+// with exactly the requested outputs and none has been unlinked, hand back
+// the done handle — the task never re-executes. It's a warm *hit* only
+// when every output still has a live source; otherwise the bytes
+// regenerate through lineage on first consumer access, which still beats
+// re-running the whole graph. Returns nil when old (possibly nil) is not
+// such a completion.
+func (m *Manager) warmHitLocked(old *taskRecord, defHash string, outputs []string) *TaskHandle {
+	if old == nil || old.state != TaskDone || !m.outputsMatchLocked(old, outputs) {
 		return nil
 	}
 	warm := true
@@ -1581,10 +1574,10 @@ func (m *Manager) pumpTransfersLocked() {
 		var addr, extAddr string
 		if src >= 0 {
 			sw := m.workers[src]
-			if sw.outbound >= m.opts.TransferCapPerSource {
+			if sw.outbound >= transferCapPerSource {
 				// Source busy: try another replica, else defer.
 				alt := m.pickSourceLocked(tx.name, tx.dest)
-				if alt != src && alt >= 0 && m.workers[alt].outbound < m.opts.TransferCapPerSource {
+				if alt != src && alt >= 0 && m.workers[alt].outbound < transferCapPerSource {
 					src = alt
 					addr = m.replicaAddrLocked(m.workers[alt], tx.name)
 				} else if alt == -1 && fs.onManager {
@@ -1989,6 +1982,12 @@ func (m *Manager) onTaskDoneLocked(wid int, msg *taskDoneMsg) {
 		}
 		m.sched.FileCached(wid, cnStr, size)
 	}
+	// Emit before releasing the handle, as failLocked does, so a trace
+	// read after Wait returns holds the completion.
+	m.rec.Emit(obs.Event{
+		Type: obs.EvTaskDone, Task: rec.label(), Worker: workerNameOf(w),
+		Attempt: rec.retries, Dur: time.Duration(msg.ExecNanos),
+	})
 	if !wasDone {
 		m.met.tasksDone.Inc()
 		if w != nil {
@@ -2012,10 +2011,6 @@ func (m *Manager) onTaskDoneLocked(wid int, msg *taskDoneMsg) {
 	// Wake waiters even on a lineage re-run (wasDone): the fresh replica
 	// is what a parked FetchBytes recovery loop is waiting for.
 	m.notifyLocked()
-	m.rec.Emit(obs.Event{
-		Type: obs.EvTaskDone, Task: rec.label(), Worker: workerNameOf(w),
-		Attempt: rec.retries, Dur: time.Duration(msg.ExecNanos),
-	})
 	if m.opts.ReturnOutputs && w != nil && !w.foreman {
 		// Foreman outputs are pulled through their reported shard addresses
 		// (FetchBytes path), not the foreman's control link.

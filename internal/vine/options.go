@@ -28,7 +28,7 @@ type NetFaultInjector interface {
 // waiting for a TCP error that an ESTABLISHED-but-dead session may never
 // produce.
 const (
-	defaultDialTimeout       = 30 * time.Second
+	dialTimeout              = 30 * time.Second // every outbound TCP dial
 	defaultTransferTimeout   = 5 * time.Minute
 	defaultHeartbeatInterval = 2 * time.Second
 	defaultHeartbeatTimeout  = 8 * time.Second
@@ -54,13 +54,12 @@ const (
 
 // config is the merged pre-construction state for both constructors.
 type config struct {
-	mgr            ManagerOptions
-	wrk            WorkerOptions
+	mgr            managerOptions
+	wrk            workerOptions
 	rec            *obs.Recorder
 	failureHistory int
 
 	// Shared network plumbing.
-	dialTimeout     time.Duration
 	transferTimeout time.Duration
 	inject          NetFaultInjector
 
@@ -99,7 +98,6 @@ type config struct {
 func buildConfig(opts []Option) config {
 	c := config{
 		failureHistory:      defaultFailureHistory,
-		dialTimeout:         defaultDialTimeout,
 		transferTimeout:     defaultTransferTimeout,
 		hbInterval:          defaultHeartbeatInterval,
 		hbTimeout:           defaultHeartbeatTimeout,
@@ -118,9 +116,8 @@ func buildConfig(opts []Option) config {
 // netConfig carries the dial/IO policy into the data plane.
 func (c config) netConfig() netConfig {
 	return netConfig{
-		dialTimeout: c.dialTimeout,
-		ioTimeout:   c.transferTimeout,
-		inject:      c.inject,
+		ioTimeout: c.transferTimeout,
+		inject:    c.inject,
 	}
 }
 
@@ -128,12 +125,6 @@ func (c config) netConfig() netConfig {
 // every input is served from the manager — the Work Queue data path.
 func WithPeerTransfers(on bool) Option {
 	return func(c *config) { c.mgr.PeerTransfers = on }
-}
-
-// WithTransferCap bounds concurrent outbound transfers from one worker
-// (manager; default 3).
-func WithTransferCap(n int) Option {
-	return func(c *config) { c.mgr.TransferCapPerSource = n }
 }
 
 // WithMaxRetries bounds per-task re-dispatches after worker failures or
@@ -180,17 +171,20 @@ func WithFailureHistory(n int) Option {
 	}
 }
 
-// WithName sets the worker's name (worker; default autogenerated).
+// WithName sets the worker's name (worker; default autogenerated) or the
+// shard name a foreman registers under (foreman; default "foreman").
 func WithName(name string) Option {
 	return func(c *config) { c.wrk.Name = name }
 }
 
-// WithCores advertises execution slots (worker; default 1).
+// WithCores advertises execution slots (worker; default 1) or a shard's
+// aggregate cores (foreman).
 func WithCores(n int) Option {
 	return func(c *config) { c.wrk.Cores = n }
 }
 
-// WithMemory advertises RAM in bytes (worker; 0 = unlimited).
+// WithMemory advertises RAM in bytes (worker, or a shard's aggregate for
+// a foreman; 0 = unlimited).
 func WithMemory(bytes int64) Option {
 	return func(c *config) { c.wrk.Memory = bytes }
 }
@@ -205,17 +199,6 @@ func WithCacheDir(dir string) Option {
 // offending transfer or task (worker; 0 = unlimited).
 func WithDiskLimit(bytes int64) Option {
 	return func(c *config) { c.wrk.DiskLimit = bytes }
-}
-
-// WithDialTimeout bounds every outbound TCP dial — worker→manager
-// control, transfer fetches — replacing the former hardcoded 30s
-// (both; default 30s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
 }
 
 // WithTransferTimeout bounds one whole transfer-plane exchange (serve or
@@ -365,7 +348,9 @@ func WithOrphanTTL(d time.Duration) Option {
 // WithReconnect lets the worker survive a manager restart: on a connection
 // error or manager silence it re-dials the manager address up to attempts
 // times, backoff apart, and re-registers with its current cache inventory
-// instead of draining (worker; default 0 = drain as before).
+// instead of draining (worker; default 0 = drain as before). A foreman's
+// uplink redials the root the same way, re-offering its shard inventory
+// (foreman; default 0 = the shard dies with its root connection).
 func WithReconnect(attempts int, backoff time.Duration) Option {
 	return func(c *config) {
 		c.wrk.ReconnectAttempts = attempts
@@ -419,21 +404,8 @@ func WithPreemptible(on bool) Option {
 // passed to NewWorker: on a connection error or manager silence the redial
 // budget cycles through the whole list (primary first), so a worker
 // survives a failover to a hot standby at a different address without
-// operator action (worker; default none; repeatable).
+// operator action (worker; default none; repeatable). For a foreman they
+// are fallback root addresses (foreman).
 func WithManagers(addrs ...string) Option {
 	return func(c *config) { c.wrk.Managers = append(c.wrk.Managers, addrs...) }
-}
-
-// WithManagerOptions applies a legacy ManagerOptions struct wholesale.
-//
-// Deprecated: use the individual With* options.
-func WithManagerOptions(opts ManagerOptions) Option {
-	return func(c *config) { c.mgr = opts }
-}
-
-// WithWorkerOptions applies a legacy WorkerOptions struct wholesale.
-//
-// Deprecated: use the individual With* options.
-func WithWorkerOptions(opts WorkerOptions) Option {
-	return func(c *config) { c.wrk = opts }
 }

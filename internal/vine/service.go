@@ -52,32 +52,15 @@ func (m *Manager) SubmitShared(t Task) (*TaskHandle, bool, error) {
 		return nil, false, fmt.Errorf("vine: manager stopped")
 	}
 	if old, ok := m.live[defHash]; ok && old.state != TaskFailed && m.outputsMatchLocked(old, t.Outputs) {
-		if old.state == TaskDone {
-			warm := true
-			for _, out := range t.Outputs {
-				if !m.hasSourceLocked(old.handle.outputs[out]) {
-					warm = false
-					break
-				}
-			}
-			detail := "cross-submit dedupe: all outputs live"
-			if warm {
-				old.handle.mu.Lock()
-				old.handle.warm = true
-				old.handle.mu.Unlock()
-				m.met.warmHits.Inc()
-			} else {
-				detail = "cross-submit dedupe: outputs need lineage regeneration"
-			}
-			m.rec.Emit(obs.Event{Type: obs.EvWarmHit, Task: old.label(), Detail: defHash + ": " + detail})
-			return old.handle, true, nil
+		if h := m.warmHitLocked(old, defHash, t.Outputs); h != nil {
+			return h, true, nil
 		}
 		// In flight: the second submitter becomes another waiter on the
 		// one execution — the racing-cold-cluster case.
 		m.rec.Emit(obs.Event{Type: obs.EvWarmHit, Task: old.label(), Detail: defHash + ": deduped onto in-flight execution"})
 		return old.handle, true, nil
 	}
-	if h := m.warmFromReplayLocked(defHash, t.Outputs); h != nil {
+	if h := m.warmHitLocked(m.replayed[defHash], defHash, t.Outputs); h != nil {
 		return h, true, nil
 	}
 	if m.draining {

@@ -31,29 +31,24 @@ import (
 // it over the received bytes and reports a mismatch as ErrCorruptTransfer,
 // which the manager treats as a poisoned replica, not a flaky network.
 
-// netConfig is the dial/IO policy threaded through the data plane: how
-// long a dial may take, how long one whole exchange may take, and an
-// optional fault-injection layer under every conn.
+// netConfig is the IO policy threaded through the data plane: how long
+// one whole exchange may take, and an optional fault-injection layer
+// under every conn.
 type netConfig struct {
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-	inject      NetFaultInjector
+	ioTimeout time.Duration
+	inject    NetFaultInjector
 }
 
 // defaultNetConfig matches the historical hardcoded policy.
 func defaultNetConfig() netConfig {
-	return netConfig{dialTimeout: defaultDialTimeout, ioTimeout: defaultTransferTimeout}
+	return netConfig{ioTimeout: defaultTransferTimeout}
 }
 
-// dial opens an outbound connection under the configured timeout and
+// dial opens an outbound connection under the dial timeout and the
 // fault-injection layer. label names the connection's role for targeted
 // fault matching (e.g. "w0/fetch", "manager/control").
 func (nc netConfig) dial(addr, label string) (net.Conn, error) {
-	to := nc.dialTimeout
-	if to <= 0 {
-		to = defaultDialTimeout
-	}
-	c, err := net.DialTimeout("tcp", addr, to)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

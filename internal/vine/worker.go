@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -56,7 +55,6 @@ type Worker struct {
 	// over-dispatches, at most Cores tasks execute concurrently.
 	slots chan struct{}
 
-	conn  *conn // guarded by mu; swapped on reconnect — use curConn/sendMsg
 	ts    *transferServer
 	doneC chan struct{}
 
@@ -70,21 +68,14 @@ type Worker struct {
 	idxMu     sync.Mutex
 	idxF      *os.File
 
-	// Reconnect policy: on connection error or manager silence the worker
-	// re-dials through addrs — the primary first, then any WithManagers
-	// fallbacks (a hot standby's takeover address) — up to
-	// reconnectAttempts times (reconnectBackoff apart) and re-registers
-	// with its current cache inventory. redialC is non-nil while a redial
-	// is in flight so concurrent detectors share one attempt; addrIdx is
-	// the addrs index the current connection dialed, so a redial resumes
-	// from the last manager known good.
-	addrs             []string
-	addrIdx           int
-	memory            int64
-	reconnectAttempts int
-	reconnectBackoff  time.Duration
-	redialC           chan struct{}
-	takeoverEpoch     uint64 // highest takeover epoch acknowledged
+	// link is the control connection to the manager (guarded by mu;
+	// swapped on reconnect — use curConn/sendMsg). On connection error or
+	// manager silence it re-dials through the primary and any WithManagers
+	// fallbacks (a hot standby's takeover address) and re-registers with
+	// the current cache inventory.
+	link          redialer
+	memory        int64
+	takeoverEpoch uint64 // highest takeover epoch acknowledged
 
 	// Liveness: lastMgr is bumped on every control-channel receive; the
 	// monitor goroutine declares the manager lost after hbTimeout of
@@ -134,8 +125,8 @@ func newWorkerMetrics(reg *obs.Registry) workerMetrics {
 	}
 }
 
-// WorkerOptions configures a worker.
-type WorkerOptions struct {
+// workerOptions is the worker half of the option vocabulary.
+type workerOptions struct {
 	// Name identifies the worker to the manager (default: autogenerated).
 	Name string
 	// Cores advertises execution slots (default 1).
@@ -200,58 +191,37 @@ func NewWorker(addr string, options ...Option) (*Worker, error) {
 	if orphanTTL == 0 {
 		orphanTTL = defaultOrphanTTL
 	}
-	backoff := opts.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = defaultReconnectBackoff
-	}
 	reg := obs.NewRegistry()
 	label := opts.Name
 	if label == "" {
 		label = "worker"
 	}
-	// Manager address list: the dialed primary first, then fallbacks in
-	// declaration order, deduplicated.
-	addrs := []string{addr}
-	for _, a := range opts.Managers {
-		dup := false
-		for _, have := range addrs {
-			if have == a {
-				dup = true
-				break
-			}
-		}
-		if !dup && a != "" {
-			addrs = append(addrs, a)
-		}
-	}
 	w := &Worker{
-		Name:              opts.Name,
-		Cores:             opts.Cores,
-		dir:               dir,
-		diskLimit:         opts.DiskLimit,
-		cache:             make(map[CacheName]int64),
-		pins:              make(map[CacheName]int),
-		fetching:          make(map[CacheName]chan struct{}),
-		lastUse:           make(map[CacheName]uint64),
-		libs:              make(map[string]*libraryInstance),
-		doneC:             make(chan struct{}),
-		slots:             make(chan struct{}, opts.Cores),
-		nc:                c.netConfig(),
-		label:             label,
-		hbInterval:        c.hbInterval,
-		hbTimeout:         c.hbTimeout,
-		lastMgr:           time.Now(),
-		rec:               c.rec,
-		reg:               reg,
-		met:               newWorkerMetrics(reg),
-		persist:           opts.Persist,
-		orphanTTL:         orphanTTL,
-		orphans:           make(map[CacheName]time.Time),
-		addrs:             addrs,
-		memory:            opts.Memory,
-		reconnectAttempts: opts.ReconnectAttempts,
-		reconnectBackoff:  backoff,
-		preemptible:       opts.Preemptible,
+		Name:        opts.Name,
+		Cores:       opts.Cores,
+		dir:         dir,
+		diskLimit:   opts.DiskLimit,
+		cache:       make(map[CacheName]int64),
+		pins:        make(map[CacheName]int),
+		fetching:    make(map[CacheName]chan struct{}),
+		lastUse:     make(map[CacheName]uint64),
+		libs:        make(map[string]*libraryInstance),
+		doneC:       make(chan struct{}),
+		slots:       make(chan struct{}, opts.Cores),
+		nc:          c.netConfig(),
+		label:       label,
+		hbInterval:  c.hbInterval,
+		hbTimeout:   c.hbTimeout,
+		lastMgr:     time.Now(),
+		rec:         c.rec,
+		reg:         reg,
+		met:         newWorkerMetrics(reg),
+		persist:     opts.Persist,
+		orphanTTL:   orphanTTL,
+		orphans:     make(map[CacheName]time.Time),
+		link:        c.redialer(addr, label+"/control", "manager"),
+		memory:      opts.Memory,
+		preemptible: opts.Preemptible,
 	}
 	var inventory []inventoryEntry
 	if w.persist {
@@ -273,35 +243,16 @@ func NewWorker(addr string, options ...Option) (*Worker, error) {
 		return nil, err
 	}
 	w.ts = ts
-	// Dial through the address list in order: a worker started during a
-	// failover window registers with whichever manager is up.
-	var nc net.Conn
-	var dialErr error
-	for i, a := range addrs {
-		nc, dialErr = w.nc.dial(a, label+"/control")
-		if dialErr == nil {
-			w.addrIdx = i
-			break
-		}
-	}
-	if dialErr != nil {
+	if err := w.link.dial(); err != nil {
 		ts.close()
 		w.closeIndex()
-		return nil, fmt.Errorf("vine: worker connecting to manager: %w", dialErr)
+		return nil, fmt.Errorf("vine: worker connecting to manager: %w", err)
 	}
-	w.conn = newConn(nc)
 	if w.Name == "" {
-		w.Name = nc.LocalAddr().String()
+		w.Name = w.link.conn.c.LocalAddr().String()
 	}
-	w.conn.send(&message{Type: msgHello, Hello: &helloMsg{
-		Name:         w.Name,
-		Cores:        w.Cores,
-		Memory:       opts.Memory,
-		TransferAddr: ts.Addr(),
-		DiskLimit:    opts.DiskLimit,
-		Preemptible:  opts.Preemptible,
-		Inventory:    inventory,
-	}})
+	w.link.name = w.Name
+	w.link.conn.send(w.hello(inventory))
 	go w.readLoop()
 	if w.hbInterval > 0 {
 		go w.monitorManager()
@@ -310,6 +261,19 @@ func NewWorker(addr string, options ...Option) (*Worker, error) {
 		go w.orphanGC()
 	}
 	return w, nil
+}
+
+// hello builds the registration frame carrying inv, the cache inventory.
+func (w *Worker) hello(inv []inventoryEntry) *message {
+	return &message{Type: msgHello, Hello: &helloMsg{
+		Name:         w.Name,
+		Cores:        w.Cores,
+		Memory:       w.memory,
+		TransferAddr: w.ts.Addr(),
+		DiskLimit:    w.diskLimit,
+		Preemptible:  w.preemptible,
+		Inventory:    inv,
+	}}
 }
 
 // monitorManager watches for control-channel silence. The manager pings
@@ -344,8 +308,8 @@ func (w *Worker) monitorManager() {
 		w.mu.Lock()
 		silence := time.Since(w.lastMgr)
 		stopped := w.stopped
-		cc := w.conn
-		redialing := w.redialC != nil
+		cc := w.link.conn
+		redialing := w.link.redialC != nil
 		w.mu.Unlock()
 		if stopped {
 			return
@@ -355,7 +319,7 @@ func (w *Worker) monitorManager() {
 		}
 		if silence > w.hbTimeout {
 			action := "draining"
-			if w.reconnectAttempts > 0 {
+			if w.link.attempts > 0 {
 				action = "reconnecting"
 			}
 			w.rec.Emit(obs.Event{Type: obs.EvHeartbeatMiss, Worker: w.Name,
@@ -449,7 +413,7 @@ func (w *Worker) Stop() {
 		return
 	}
 	w.stopped = true
-	cc := w.conn
+	cc := w.link.conn
 	w.mu.Unlock()
 	cc.close()
 	w.ts.close()
@@ -464,7 +428,7 @@ func (w *Worker) Stop() {
 func (w *Worker) curConn() *conn {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.conn
+	return w.link.conn
 }
 
 // sendMsg enqueues a message on whatever control connection is current, so
@@ -522,8 +486,8 @@ func (w *Worker) CacheNames() []CacheName {
 
 // Stats snapshots worker counters into the shared obs.Snapshot
 // vocabulary.
-func (w *Worker) Stats() WorkerStats {
-	return WorkerStats{
+func (w *Worker) Stats() obs.Snapshot {
+	return obs.Snapshot{
 		TasksRun:       int(w.met.tasksRun.Value()),
 		FunctionCalls:  int(w.met.functionCalls.Value()),
 		TransfersIn:    int(w.met.transfersIn.Value()),

@@ -16,7 +16,7 @@ import (
 
 // Worker persistent cache and reconnection.
 //
-// With WorkerOptions.Persist on, the cache directory outlives the worker
+// With WithPersistentCache on, the cache directory outlives the worker
 // process. A JSONL sidecar (index.jsonl) records {name, size, crc32c} per
 // entry, appended on add and tombstoned on remove. A restarting worker
 // scrubs the directory against the index — re-reading every indexed file
@@ -36,10 +36,6 @@ import (
 // indexFileName is the sidecar's name inside the cache dir; never a valid
 // cachePathSafe output, so it can't collide with an entry.
 const indexFileName = "index.jsonl"
-
-// defaultReconnectBackoff is the delay before each redial attempt unless
-// WithReconnect overrides it. Mirrored as params.DefaultReconnectBackoff.
-const defaultReconnectBackoff = 50 * time.Millisecond
 
 // indexLine is one sidecar record: an upsert, or a tombstone when Del.
 type indexLine struct {
@@ -303,106 +299,18 @@ func (w *Worker) orphanGC() {
 	}
 }
 
-// reconnect re-establishes the control channel after old died. Exactly one
-// goroutine runs the redial (readLoop and monitorManager can both detect
-// the loss); latecomers wait for its outcome. Reports whether the worker
-// is registered on a fresh connection.
+// reconnect re-establishes the control channel after old died and
+// re-registers with the current cache inventory. Reports whether the
+// worker is registered on a fresh connection.
 func (w *Worker) reconnect(old *conn) bool {
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return false
-	}
-	if w.conn != old {
-		// Another goroutine already swapped the connection.
-		w.mu.Unlock()
-		return true
-	}
-	if w.reconnectAttempts <= 0 {
-		w.mu.Unlock()
-		return false
-	}
-	if c := w.redialC; c != nil {
-		w.mu.Unlock()
-		<-c
-		w.mu.Lock()
-		ok := !w.stopped && w.conn != old
-		w.mu.Unlock()
-		return ok
-	}
-	done := make(chan struct{})
-	w.redialC = done
-	attempts, backoff := w.reconnectAttempts, w.reconnectBackoff
-	addrs, start := w.addrs, w.addrIdx
-	w.mu.Unlock()
-
-	old.close()
-	var nc *conn
-	dialed := -1
-	for i := 1; i <= attempts; i++ {
-		// Back off before every attempt: even an immediately-successful
-		// dial against a half-up manager shouldn't spin.
-		select {
-		case <-w.doneC:
-		case <-time.After(backoff):
-		}
-		// Cycle the manager address list, starting from the last address
-		// known good: attempt 1 retries the primary, later attempts rotate
-		// through the standbys, so a failover lands within one lap.
-		addr := addrs[(start+i-1)%len(addrs)]
-		select {
-		case <-w.doneC:
-			// Stopped while waiting; give up without dialing.
-		default:
-			raw, err := w.nc.dial(addr, w.label+"/control")
-			if err == nil {
-				nc = newConn(raw)
-				dialed = (start + i - 1) % len(addrs)
-			} else {
-				w.rec.Emit(obs.Event{Type: obs.EvNetRetry, Worker: w.Name, Attempt: i,
-					Dur: backoff, Detail: "manager redial " + addr + ": " + err.Error()})
-			}
-		}
-		if nc != nil {
-			break
-		}
-		w.mu.Lock()
-		stopped := w.stopped
-		w.mu.Unlock()
-		if stopped {
-			break
-		}
-	}
-
-	w.mu.Lock()
-	defer func() {
-		w.redialC = nil
-		close(done)
-		w.mu.Unlock()
-	}()
-	if w.stopped || nc == nil {
-		if nc != nil {
-			nc.close()
-		}
-		return false
-	}
-	w.conn = nc
-	w.addrIdx = dialed
-	w.lastMgr = time.Now()
-	inv := w.inventoryLocked()
-	w.met.reconnects.Inc()
-	w.rec.Emit(obs.Event{Type: obs.EvWorkerJoin, Worker: w.Name,
-		Detail: fmt.Sprintf("reconnected with %d cached files", len(inv))})
-	nc.send(&message{Type: msgHello, Hello: &helloMsg{
-		Name:         w.Name,
-		Cores:        w.Cores,
-		Memory:       w.memory,
-		TransferAddr: w.ts.Addr(),
-		DiskLimit:    w.diskLimit,
-		Preemptible:  w.preemptible,
-		Inventory:    inv,
-	}})
-	return true
+	return w.link.reconnect(&w.mu, &w.stopped, w.doneC, old, func(nc *conn) {
+		w.lastMgr = time.Now()
+		inv := w.inventoryLocked()
+		w.met.reconnects.Inc()
+		w.rec.Emit(obs.Event{Type: obs.EvWorkerJoin, Worker: w.Name,
+			Detail: fmt.Sprintf("reconnected with %d cached files", len(inv))})
+		nc.send(w.hello(inv))
+	})
 }
 
 // Reconnects reports how many times this worker re-registered with the
